@@ -52,7 +52,7 @@ coalition-smoke:  # 2 coordinated strategies x {none, storm}, 2-member sub-f*G c
 		--spec coalition-smoke --workers 2 --inject-crash 1
 	PYTHONPATH=src $(PYTHON) -m repro campaign report --run-dir results/coalition_smoke --check
 
-scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerprints identical
+scale-smoke:  # sharded N=64 on 2 workers == monolithic; serial leg verifies every snapshot; pool and serial fingerprints identical
 	rm -rf results/scale_smoke
 	PYTHONPATH=src $(PYTHON) -m repro scale run --run-dir results/scale_smoke/pool \
 		--nodes 64 --shards 2 --seed 7 --horizon 2.0 --workers 2 --verify
@@ -60,7 +60,7 @@ scale-smoke:  # sharded N=64 on 2 workers == monolithic; pool and serial fingerp
 		from repro.orchestrator.sharded import load_sharded_manifest, run_sharded; \
 		spec, _ = load_sharded_manifest('results/scale_smoke/pool'); \
 		pool = [json.load(open('results/scale_smoke/pool/summary/shard%03d.json' % k))['fingerprint'] for k in range(spec.num_shards)]; \
-		serial = run_sharded(spec, 'results/scale_smoke/serial', serial=True).shard_fingerprints; \
+		serial = run_sharded(spec, 'results/scale_smoke/serial', serial=True, verify_snapshots=True).shard_fingerprints; \
 		assert pool == serial, (pool, serial); \
 		print('pool/serial shard fingerprints identical:', ' '.join(f[:16] for f in pool))"
 	rm -rf results/scale_smoke

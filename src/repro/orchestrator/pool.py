@@ -136,12 +136,16 @@ def run_cell_inline(cell: SweepCell, ctx: "Optional[WorkerContext]" = None) -> R
     return _execute_cell(cell, ctx if ctx is not None else WorkerContext())
 
 
-def run_grid_inline(grid: SweepGrid, store: "Optional[ResultStore]" = None) -> ResultStore:
+def run_grid_inline(
+    grid: SweepGrid, store: "Optional[ResultStore]" = None, verify_snapshots: bool = False
+) -> ResultStore:
     """Serially evaluate a grid into a store (in-memory by default).
 
     The one-shot path the figure modules use: same grid semantics and
     result schema as a parallel campaign, minus the processes. Cells
-    already completed in ``store`` are skipped, exactly like a resume.
+    already completed in ``store`` are skipped, exactly like a resume;
+    ``verify_snapshots`` checks every snapshot a cell takes, as the
+    pool's option of the same name does.
     """
     if store is None:
         store = ResultStore()
@@ -149,7 +153,7 @@ def run_grid_inline(grid: SweepGrid, store: "Optional[ResultStore]" = None) -> R
     for cell in grid.cells():
         if cell.cell_id in completed:
             continue
-        store.append(run_cell_inline(cell))
+        store.append(run_cell_inline(cell, WorkerContext(verify_snapshots=verify_snapshots)))
     return store
 
 

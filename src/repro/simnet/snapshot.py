@@ -17,13 +17,25 @@ on top of :mod:`pickle`:
   with explicit arguments instead of closures.
 
 * ``set``/``frozenset`` iteration order depends on each table's private
-  insertion history, so a naively re-pickled restore is not guaranteed
-  to be byte-identical to its own snapshot. The snapshot pickler
-  therefore reduces every set to a canonically ordered list (sorted by
-  ``repr``, which totally orders the mixed int/str/tuple keys the
-  protocol uses), making ``snapshot → restore → snapshot`` a byte
+  insertion history (and, for strs, on ``PYTHONHASHSEED``), so a naive
+  pickle of a restored system is not guaranteed to reproduce its own
+  snapshot. The snapshot pickler therefore writes every set as a
+  *persistent id* carrying a canonically ordered element list (sorted
+  by ``repr``, which totally orders the mixed int/str/tuple keys the
+  protocol uses; nested frozensets are spelled in that same order),
+  making ``snapshot → restore → snapshot`` a byte
   fixed-point — and that fixed-point is the cheap integrity check
   :func:`snapshot_system` can run before a checkpoint is trusted.
+
+* ``persistent_id`` is the one hook the C pickler consults before its
+  builtin ``set`` fast path (``dispatch_table`` and ``reducer_override``
+  come too late), so the canonical pickler runs at C speed. Persistent
+  ids are not memoized, so each set's id also carries an explicit
+  reference number; a later occurrence of the same set is written as
+  that number alone and restores as the *same* object. The unpickler
+  files sets under the number written in the blob, never by arrival
+  order: it builds inner frozensets before the outer one that was
+  numbered first.
 
 Invariants (pinned by ``tests/integration/test_determinism.py``):
 
@@ -39,7 +51,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = [
     "SnapshotError",
@@ -52,62 +64,89 @@ __all__ = [
 ]
 
 #: Versioned header; bump the digit when the snapshot layout changes.
-SNAPSHOT_MAGIC = b"RACSNAP/1\n"
+SNAPSHOT_MAGIC = b"RACSNAP/2\n"
 
 
 class SnapshotError(Exception):
     """A snapshot could not be taken, verified or restored."""
 
 
-def _reduce_set(s: set) -> "Tuple[type, Tuple[list]]":
-    return (set, (sorted(s, key=repr),))
+def _canonical_key(obj: Any) -> str:
+    """Sort key for set elements: ``repr``, except that a nested
+    frozenset lists its own elements in canonical order (its ``repr``
+    follows iteration order, which the hash seed can change)."""
+    cls = type(obj)
+    if cls is frozenset:
+        return "frozenset({%s})" % ", ".join(sorted(map(_canonical_key, obj)))
+    if cls is tuple:
+        return "(%s%s)" % (", ".join(map(_canonical_key, obj)), "," if len(obj) == 1 else "")
+    return repr(obj)
 
 
-def _reduce_frozenset(s: frozenset) -> "Tuple[type, Tuple[list]]":
-    return (frozenset, (sorted(s, key=repr),))
+class _CanonicalPickler(pickle.Pickler):
+    """C pickler that writes each set as ``(frozen, ref, sorted elements)``
+    the first time it is seen and as the bare ``ref`` after that."""
 
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        # id(set) -> (ref, set); holding the set keeps its id unique.
+        self._refs: "Dict[int, Tuple[int, Any]]" = {}
 
-class _SnapshotPickler(pickle._Pickler):  # noqa: SLF001 - deliberate, see below
-    """Pickler with canonical (repr-sorted) set ordering.
-
-    Deliberately the *pure-Python* pickler: only there does
-    ``reducer_override`` run before the builtin-container fast paths.
-    The C pickler consults its internal ``save_set`` first, so neither
-    a ``dispatch_table`` entry nor ``reducer_override`` could
-    canonicalize sets (they would be silently ignored). The speed
-    difference is irrelevant at checkpoint granularity.
-    """
-
-    def reducer_override(self, obj: Any):
+    def persistent_id(self, obj: Any) -> Any:
         cls = type(obj)
-        if cls is set:
-            return _reduce_set(obj)
-        if cls is frozenset:
-            return _reduce_frozenset(obj)
-        return NotImplemented
+        if cls is not set and cls is not frozenset:
+            return None
+        seen = self._refs.get(id(obj))
+        if seen is not None:
+            return seen[0]
+        ref = len(self._refs)
+        self._refs[id(obj)] = (ref, obj)
+        return (cls is frozenset, ref, sorted(obj, key=_canonical_key))
+
+
+class _CanonicalUnpickler(pickle.Unpickler):
+    """Inverse of :class:`_CanonicalPickler`: sets are filed by the
+    reference number in the blob, so aliases restore as one object."""
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file)
+        self._sets: "Dict[int, Any]" = {}
+
+    def persistent_load(self, pid: Any) -> Any:
+        if type(pid) is int:
+            return self._sets[pid]
+        frozen, ref, elements = pid
+        obj = frozenset(elements) if frozen else set(elements)
+        self._sets[ref] = obj
+        return obj
 
 
 def _dumps(obj: Any) -> bytes:
     buffer = io.BytesIO()
-    _SnapshotPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    _CanonicalPickler(buffer).dump(obj)
     return buffer.getvalue()
+
+
+def _loads(data: bytes) -> Any:
+    return _CanonicalUnpickler(io.BytesIO(data)).load()
 
 
 def snapshot_system(system: Any, verify: bool = False) -> bytes:
     """Serialize a (possibly mid-run) system to a self-contained blob.
 
-    The blob is *canonical*: a first pickle is restored in memory and
-    re-pickled, which erases identity artifacts of the live process
-    (equal strings interned into one object pickle as memo references;
-    their restored counterparts are distinct objects). One round-trip
-    reaches the byte fixed-point ``snapshot(restore(blob)) == blob``.
+    The blob is *canonical*: a first, plain pickle is restored in
+    memory and re-pickled canonically, which erases identity artifacts
+    of the live process (equal strings interned into one object pickle
+    as memo references; their restored counterparts are distinct
+    objects). One round-trip reaches the byte fixed-point
+    ``snapshot(restore(blob)) == blob``; the live system is only read.
 
     With ``verify=True`` that fixed-point is actually checked — a
     failure means some new state crept in that does not round-trip
     deterministically, and the blob must not be trusted as a checkpoint.
     """
     try:
-        raw = _dumps(system)
+        raw = pickle.dumps(system, protocol=pickle.HIGHEST_PROTOCOL)
         blob = SNAPSHOT_MAGIC + _dumps(pickle.loads(raw))
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise SnapshotError(f"system state is not snapshot-safe: {exc}") from exc
@@ -120,9 +159,15 @@ def restore_system(blob: bytes) -> Any:
     """Rebuild the system a blob was taken from; it resumes where the
     original stood, down to the pending event queue and RNG streams."""
     if not blob.startswith(SNAPSHOT_MAGIC):
+        if blob.startswith(b"RACSNAP/"):
+            found = blob[:32].split(b"\n", 1)[0].decode("ascii", "replace")
+            raise SnapshotError(
+                f"snapshot format {found} is not readable by this build, which "
+                f"reads {SNAPSHOT_MAGIC.decode().strip()}; delete it and rerun from the start"
+            )
         raise SnapshotError("not a RAC snapshot (bad magic header)")
     try:
-        return pickle.loads(blob[len(SNAPSHOT_MAGIC):])
+        return _loads(blob[len(SNAPSHOT_MAGIC):])
     except Exception as exc:  # unpickling raises wildly varied types
         raise SnapshotError(f"snapshot blob is corrupt: {exc}") from exc
 

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+import repro.simnet.snapshot as snapshot_module
 from repro.groups import plan_bundles, snapshot_groups
 from repro.orchestrator.sharded import run_sharded, verify_sharded
 from repro.simnet.shard import ScaleSpec, plan_population, run_monolithic
@@ -136,3 +137,22 @@ class TestBlacklistDissemination:
             for summary in outcome.per_shard
         )
         assert applied == EVICT_SPEC.num_shards - 1
+
+
+class TestSnapshotVerification:
+    def test_serial_run_verifies_every_shard_snapshot(self, tmp_path, monkeypatch):
+        spec = ScaleSpec(nodes=24, num_shards=2, seed=3, horizon=1.0, epoch=0.5)
+        calls = []
+        real = snapshot_module.verify_roundtrip
+
+        def counting(blob):
+            calls.append(len(blob))
+            return real(blob)
+
+        monkeypatch.setattr(snapshot_module, "verify_roundtrip", counting)
+        plain = run_sharded(spec, str(tmp_path / "plain"), serial=True)
+        assert calls == []
+        verified = run_sharded(spec, str(tmp_path / "verified"), serial=True, verify_snapshots=True)
+        # One checkpoint per shard per epoch, each checked.
+        assert len(calls) == spec.num_shards * spec.epoch_count
+        assert verified.shard_fingerprints == plain.shard_fingerprints

@@ -9,10 +9,14 @@ orchestrator both build on these invariants.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.config import RacConfig
 from repro.core.system import RacSystem
 from repro.simnet.engine import Simulator
@@ -119,6 +123,16 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError):
             restore_system(SNAPSHOT_MAGIC[:4])
 
+    def test_restore_names_both_versions_for_an_old_format_blob(self):
+        # A checkpoint left in a run directory by an older build.
+        old = b"RACSNAP/1\n" + pickle.dumps(({"epoch_done": 0}, [1, 2]))
+        with pytest.raises(SnapshotError) as info:
+            restore_system(old)
+        message = str(info.value)
+        assert "RACSNAP/1" in message
+        assert SNAPSHOT_MAGIC.decode().strip() in message
+        assert "RACSNAP/1" not in SNAPSHOT_MAGIC.decode()
+
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             load_snapshot(str(tmp_path / "missing.snap"))
@@ -146,3 +160,37 @@ class TestSnapshotFiles:
         path = str(tmp_path / "obj.snap")
         save_snapshot(payload, path, verify=True)
         assert load_snapshot(path) == payload
+
+
+_HASH_SEED_SCRIPT = """
+import hashlib
+from repro.core.config import RacConfig
+from repro.core.system import RacSystem
+from repro.simnet.snapshot import snapshot_system
+system = RacSystem(RacConfig.small(), seed=11)
+ids = system.bootstrap(6)
+for index, src in enumerate(ids):
+    system.send(src, ids[(index + 1) % len(ids)], f"snap/{index}".encode())
+system.run(1.0)
+tags = {f"tag-{i}" for i in range(40)}
+nested = frozenset(frozenset({f"a{i}", f"b{i}"}) for i in range(8))
+print(hashlib.sha256(snapshot_system((system, tags, nested), verify=True)).hexdigest())
+"""
+
+
+class TestCanonicalOrdering:
+    def test_same_bytes_under_different_hash_seeds(self):
+        # Set iteration order of strs follows PYTHONHASHSEED; canonical
+        # ordering is what keeps the blob independent of it. Only
+        # separate processes can have different hash seeds.
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+            result = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests.append(result.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
